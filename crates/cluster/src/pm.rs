@@ -8,9 +8,9 @@
 //! lists.
 //!
 //! At 100k+ PMs, one heap object per machine dominates both memory and
-//! cache traffic, so PM state lives in [`PmStore`]: parallel flat arrays
+//! cache traffic, so PM state lives in a `PmStore`: parallel flat arrays
 //! for power state, demand aggregates and SLAVO counters, a CSR-style
-//! [arena](crate::arena::PlacementArena) holding every hosted-VM list in
+//! placement arena holding every hosted-VM list in
 //! one shared slab, and a sorted active-set index that makes "iterate the
 //! active PMs" cost O(active), not O(n). Consumers never see the layout:
 //! they hold a [`PmRef`] handle with the same accessor vocabulary the old

@@ -275,42 +275,36 @@ pub fn aggregation_round<R: Rng>(
     stats
 }
 
-/// A raw pointer to one PM's table, handed to exactly one worker of a
-/// merge wave. Safety rests on the wave decomposition: every wave's
-/// pairs are vertex-disjoint, so no two tasks of one `parallel_for_each`
-/// ever alias a table.
-struct MergeTask {
-    a: *mut QTablePair,
-    b: *mut QTablePair,
-}
-// SAFETY: each task carries exclusive access to its two (disjoint)
-// tables for the duration of one wave; the pool joins before the next
-// wave is built.
-unsafe impl Send for MergeTask {}
-
 /// The deterministic schedule of one sharded aggregation round:
 /// partner selection plus greedy wave decomposition, computed without
-/// touching any tables. One plan drives every merge backend — the boxed
-/// [`aggregation_round_sharded`], the trainer's arena round and its
-/// fused learn+aggregate sweep — so all of them apply bit-identical
-/// merges in bit-identical order.
+/// touching any tables. One plan drives both merge backends — the boxed
+/// [`aggregation_round_sharded`] and the trainer's arena round — so they
+/// apply bit-identical merges in bit-identical order.
 #[derive(Debug, Clone, Default)]
 pub struct AggPlan {
     /// Exchanges `(initiator, partner)` in serial activation order.
     pub pairs: Vec<(u32, u32)>,
     /// `wave[k]` is the merge wave of `pairs[k]`.
     pub wave: Vec<u32>,
-    /// Wave → its pairs, exchange order within each wave. Pairs of one
-    /// wave are vertex-disjoint, so their symmetric merges commute and
-    /// may run in parallel; waves must be applied in index order.
-    pub by_wave: Vec<Vec<(u32, u32)>>,
+    /// Wave → its exchanges, exchange order within each wave. Pairs of
+    /// one wave are vertex-disjoint, so their symmetric merges commute
+    /// and may run in parallel; waves must be applied in index order.
+    pub by_wave: Vec<Vec<WaveExchange>>,
 }
 
-impl AggPlan {
-    /// Number of merge waves.
-    pub fn n_waves(&self) -> u32 {
-        self.by_wave.len() as u32
-    }
+/// One exchange of a merge wave. The backend that applies the wave
+/// writes `merged`: the trained-pair count both endpoints hold right
+/// after their symmetric merge (their visited sets are then identical,
+/// so it is one number). The emission sweep replays these counts for the
+/// round's byte accounting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaveExchange {
+    /// Initiator.
+    pub p: u32,
+    /// Partner.
+    pub q: u32,
+    /// Trained pairs of either endpoint after the merge.
+    pub merged: u64,
 }
 
 /// Draws one sharded round's schedule (steps 1–2 of the determinism
@@ -379,10 +373,10 @@ pub fn build_agg_plan<R: Rng>(
     }
     let n_waves = wave.iter().copied().max().map_or(0, |w| w + 1);
 
-    // Wave → its pairs, in exchange order within the wave.
-    let mut by_wave: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_waves as usize];
-    for (k, &pq) in pairs.iter().enumerate() {
-        by_wave[wave[k] as usize].push(pq);
+    // Wave → its exchanges, in exchange order within the wave.
+    let mut by_wave: Vec<Vec<WaveExchange>> = vec![Vec::new(); n_waves as usize];
+    for (k, &(p, q)) in pairs.iter().enumerate() {
+        by_wave[wave[k] as usize].push(WaveExchange { p, q, merged: 0 });
     }
     AggPlan {
         pairs,
@@ -412,15 +406,9 @@ pub fn build_agg_plan<R: Rng>(
 ///    latest wave touching either endpoint, so within a wave all pairs
 ///    are vertex-disjoint and their symmetric merges commute — applying
 ///    a wave in parallel is equivalent to applying its pairs in order.
-/// 3. **Emission.** Events and counters are emitted serially in exchange
-///    order by the coordinating thread (the tracer is single-threaded
-///    anyway). A pair's byte accounting must read its endpoints' tables
-///    *after* all earlier exchanges and *before* its own, so waves are
-///    applied lazily as the emission cursor reaches them; any pair from
-///    an earlier wave that sits *later* in exchange order is provably
-///    endpoint-disjoint from the current pair (sharing an endpoint would
-///    have forced it into a later wave), so early application cannot
-///    perturb the bytes the serial round would have reported.
+/// 3. **Emission.** Every wave task records its endpoints' merged size;
+///    after the last wave, one sweep emits events and counters
+///    serially in exchange order from those records.
 ///
 /// Only ideal-network, uncoded rounds shard: fault randomness and codec
 /// state are inherently sequential, so callers keep those on
@@ -432,11 +420,7 @@ pub fn aggregation_round_sharded<R: Rng>(
     threads: Option<usize>,
     io: AggIo<'_>,
 ) -> AggregationRoundStats {
-    let AggIo {
-        mut net,
-        tracer,
-        codec,
-    } = io;
+    let AggIo { net, tracer, codec } = io;
     assert!(
         codec.is_none(),
         "coded exchanges are stateful per peer — use aggregation_round"
@@ -447,48 +431,88 @@ pub fn aggregation_round_sharded<R: Rng>(
             "fault randomness is sequential — use aggregation_round"
         );
     }
-    let mut stats = AggregationRoundStats::default();
-    let plan = build_agg_plan(overlay, rng, threads);
-
-    let base = tables.as_mut_ptr();
-    let apply_wave = |w: u32| {
-        // SAFETY: pairs of one wave are vertex-disjoint by construction,
-        // so every `MergeTask` points at two tables no other task (or
-        // the coordinating thread, which only builds tasks here) touches
-        // until the pool joins.
-        let mut tasks: Vec<MergeTask> = plan.by_wave[w as usize]
-            .iter()
-            .map(|&(p, q)| MergeTask {
-                a: unsafe { base.add(p as usize) },
-                b: unsafe { base.add(q as usize) },
-            })
-            .collect();
-        glap_par::parallel_for_each(&mut tasks, threads, |t| unsafe {
-            QTablePair::merge_symmetric(&mut *t.a, &mut *t.b);
+    let mut plan = build_agg_plan(overlay, rng, threads);
+    let sizes = round_start_sizes(tracer, tables.len(), |i| tables[i].trained_pairs());
+    let base = TablesPtr(tables.as_mut_ptr());
+    for wave in plan.by_wave.iter_mut() {
+        glap_par::parallel_for_each(wave, threads, |x| {
+            // SAFETY: pairs of one wave are vertex-disjoint by
+            // construction, so this task is the only one touching tables
+            // `p` and `q` until the pool joins.
+            let (a, b) = unsafe { (base.get(x.p), base.get(x.q)) };
+            QTablePair::merge_symmetric(a, b);
+            x.merged = a.trained_pairs() as u64;
         });
-    };
+    }
+    emit_exchanges(&plan, sizes, tracer, net)
+}
 
-    // Serial emission sweep in exchange order, applying waves lazily so
-    // byte accounting reads the same table states the serial round saw.
+/// The table slice of a sharded round, shared with the wave workers.
+struct TablesPtr(*mut QTablePair);
+
+// SAFETY: workers only dereference vertex-disjoint indices (see
+// `aggregation_round_sharded`); the pool joins before the slice is
+// borrowed again.
+unsafe impl Sync for TablesPtr {}
+
+impl TablesPtr {
+    /// # Safety
+    ///
+    /// `i` is in bounds and no other live reference touches table `i`.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn get(&self, i: u32) -> &mut QTablePair {
+        &mut *self.0.add(i as usize)
+    }
+}
+
+/// Every PM's trained-pair count before a sharded round merges anything
+/// — the starting point of [`emit_exchanges`]' byte accounting. `None`
+/// unless the tracer is on, so untraced rounds read nothing.
+pub(crate) fn round_start_sizes(
+    tracer: Option<&Tracer>,
+    n: usize,
+    trained_pairs: impl Fn(usize) -> usize,
+) -> Option<Vec<u64>> {
+    tracer
+        .filter(|t| t.is_on())
+        .map(|_| (0..n).map(|i| trained_pairs(i) as u64).collect())
+}
+
+/// Emits a sharded round after its waves have merged: per exchange, in
+/// exchange order, the byte counters (when `sizes` is present), the
+/// ideal network's request bookkeeping and a `merge_applied` event.
+///
+/// Byte accounting replays the table sizes that emission has always
+/// read: before charging exchange `k`, every wave below the highest
+/// wave among exchanges `0..=k` counts as applied. An exchange whose own
+/// wave is already below that mark is charged its post-merge sizes, so
+/// `agg.bytes` and `net.bytes_*` can exceed what the serial round would
+/// report. The figures are kept as they are so traced runs stay
+/// byte-identical.
+pub(crate) fn emit_exchanges(
+    plan: &AggPlan,
+    mut sizes: Option<Vec<u64>>,
+    tracer: Option<&Tracer>,
+    mut net: Option<&mut NetworkModel>,
+) -> AggregationRoundStats {
+    let mut stats = AggregationRoundStats::default();
     let mut applied = 0u32;
     for (k, &(p, q)) in plan.pairs.iter().enumerate() {
-        while applied < plan.wave[k] {
-            apply_wave(applied);
-            applied += 1;
-        }
-        if let Some(tracer) = tracer {
-            if tracer.is_on() {
-                // Same per-exchange totals as the serial round: a
-                // push–pull round trip ships both trained sets.
-                let p_pairs = tables[p as usize].trained_pairs() as u64;
-                let q_pairs = tables[q as usize].trained_pairs() as u64;
-                let total = p_pairs + q_pairs;
-                tracer.add("net.msgs", 2);
-                tracer.add("net.bytes_tx", total * ENTRY_BYTES);
-                tracer.add("net.bytes_rx", total * ENTRY_BYTES);
-                tracer.add("agg.bytes", total * ENTRY_BYTES);
-                tracer.add("agg.merges", 1);
+        if let (Some(tracer), Some(sizes)) = (tracer, sizes.as_mut()) {
+            while applied < plan.wave[k] {
+                for x in &plan.by_wave[applied as usize] {
+                    sizes[x.p as usize] = x.merged;
+                    sizes[x.q as usize] = x.merged;
+                }
+                applied += 1;
             }
+            // A push–pull round trip ships both trained sets.
+            let total = sizes[p as usize] + sizes[q as usize];
+            tracer.add("net.msgs", 2);
+            tracer.add("net.bytes_tx", total * ENTRY_BYTES);
+            tracer.add("net.bytes_rx", total * ENTRY_BYTES);
+            tracer.add("agg.bytes", total * ENTRY_BYTES);
+            tracer.add("agg.merges", 1);
         }
         if let Some(net) = net.as_deref_mut() {
             let _ = net.request(p, q);
@@ -497,10 +521,6 @@ pub fn aggregation_round_sharded<R: Rng>(
             tracer.emit(EventKind::MergeApplied { a: p, b: q });
         }
         stats.merges += 1;
-    }
-    while applied < plan.n_waves() {
-        apply_wave(applied);
-        applied += 1;
     }
     stats
 }
@@ -526,9 +546,22 @@ pub fn mean_pairwise_similarity<R: Rng>(
     sample_pairs: usize,
     rng: &mut R,
 ) -> f64 {
-    let alive: Vec<usize> = (0..tables.len())
-        .filter(|&i| overlay.is_alive(i as u32))
-        .collect();
+    mean_pairwise_similarity_by(tables.len(), overlay, sample_pairs, rng, |i, j| {
+        tables[i].cosine_similarity(&tables[j])
+    })
+}
+
+/// [`mean_pairwise_similarity`] over any storage: `similarity(i, j)`
+/// scores PMs `i` and `j`. Draws the same RNG values for the same
+/// population, whatever the storage.
+pub(crate) fn mean_pairwise_similarity_by<R: Rng>(
+    n: usize,
+    overlay: &CyclonOverlay,
+    sample_pairs: usize,
+    rng: &mut R,
+    similarity: impl Fn(usize, usize) -> f64,
+) -> f64 {
+    let alive: Vec<usize> = (0..n).filter(|&i| overlay.is_alive(i as u32)).collect();
     if alive.len() < 2 {
         return 1.0;
     }
@@ -538,7 +571,7 @@ pub fn mean_pairwise_similarity<R: Rng>(
         let mut sum = 0.0;
         for i in 0..alive.len() {
             for j in i + 1..alive.len() {
-                sum += tables[alive[i]].cosine_similarity(&tables[alive[j]]);
+                sum += similarity(alive[i], alive[j]);
             }
         }
         return sum / total_pairs as f64;
@@ -552,7 +585,7 @@ pub fn mean_pairwise_similarity<R: Rng>(
                 break j;
             }
         };
-        sum += tables[i].cosine_similarity(&tables[j]);
+        sum += similarity(i, j);
     }
     sum / sample_pairs as f64
 }
@@ -808,6 +841,49 @@ mod tests {
             run_sharded_rounds(32, Some(3), true),
             run_sharded_rounds(32, Some(3), false)
         );
+    }
+
+    /// The sharded round's byte counters equal what emission read when
+    /// it applied waves lazily, one wave ahead of the cursor at a time:
+    /// the wave records replay those reads exactly.
+    #[test]
+    fn sharded_byte_accounting_replays_lazy_wave_reads() {
+        let n = 40;
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut o = overlay(n, &mut rng);
+        let mut tables = seeded_tables(n, false);
+        // Distinct visited sets, so merges change the sizes read.
+        for (i, t) in tables.iter_mut().enumerate() {
+            for k in 0..=i % 5 {
+                let s = PmState::from_index((i * 7 + k * 13) % 81);
+                t.out
+                    .set(s, VmAction::from_index((i * 3 + k) % 81), i as f64);
+            }
+        }
+        o.run_round(&mut rng, RoundIo::default());
+        let plan = build_agg_plan(&mut o.clone(), &mut rng.clone(), Some(1));
+        let mut lazy = tables.clone();
+        let (mut applied, mut want) = (0u32, 0u64);
+        for (k, &(p, q)) in plan.pairs.iter().enumerate() {
+            while applied < plan.wave[k] {
+                for x in &plan.by_wave[applied as usize] {
+                    merge_pair(&mut lazy, x.p as usize, x.q as usize);
+                }
+                applied += 1;
+            }
+            let pairs = lazy[p as usize].trained_pairs() + lazy[q as usize].trained_pairs();
+            want += pairs as u64 * ENTRY_BYTES;
+        }
+        let tracer = glap_telemetry::Tracer::counting();
+        aggregation_round_sharded(
+            &mut tables,
+            &mut o,
+            &mut rng,
+            Some(3),
+            AggIo::traced(&tracer),
+        );
+        assert_eq!(tracer.counter_total("agg.bytes"), want);
+        assert_eq!(tracer.counter_total("agg.merges"), plan.pairs.len() as u64);
     }
 
     #[test]

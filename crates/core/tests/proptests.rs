@@ -3,19 +3,15 @@
 //! and the consolidation policy never breaks world invariants.
 
 use glap::prelude::*;
-use glap::{local_train, synthetic_table, train_two_pass_reference};
+use glap::{local_train, synthetic_table};
 use glap_cluster::{DataCenter, DataCenterConfig, Resources, VmId, VmProfile, VmSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Exact encoded bytes of a table pair — the strictest equality there
-/// is (distinguishes even -0.0 from 0.0).
-fn pair_bytes(t: &QTablePair) -> Vec<u8> {
-    let mut w = Writer::new();
-    t.save(&mut w);
-    w.into_bytes()
-}
+#[path = "support/two_pass.rs"]
+mod two_pass;
+use two_pass::{capture, pair_bytes, train_two_pass};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -153,19 +149,22 @@ proptest! {
         prop_assert_eq!(pair_bytes(&tables[1]), pair_bytes(&b_old));
     }
 
-    /// The arena engine — flat Q-table slab, dirty-set eligibility and
-    /// the fused last-learn + first-aggregate sweep — reproduces the
-    /// two-pass reference engine bit for bit over random worlds, round
-    /// schedules, sleeping fleets and worker counts. Compared on the
-    /// encoded table bytes, so a single flipped sign bit fails.
+    /// The arena engine — flat Q-table slab, dirty-set eligibility,
+    /// wave-sharded merges and round-boundary observation — reproduces
+    /// the two-pass oracle bit for bit over random worlds, round
+    /// schedules, sleeping fleets, codecs and worker counts, with
+    /// tracing and similarity recording on: encoded table bytes (a
+    /// single flipped sign bit fails), report, similarity and
+    /// convergence series, JSONL events and per-round counters.
     #[test]
-    fn fused_engine_matches_two_pass_reference_bitwise(
+    fn arena_engine_matches_two_pass_reference_bitwise(
         seed in 0u64..1000,
         n_pms in 8usize..32,
         ratio in 1usize..4,
         learning_rounds in 1usize..5,
         aggregation_rounds in 0usize..5,
         sleep_empties in any::<bool>(),
+        delta in any::<bool>(),
         threads_idx in 0usize..2,
     ) {
         use glap_cluster::PmId;
@@ -174,6 +173,7 @@ proptest! {
             learning_rounds,
             aggregation_rounds,
             learning_iterations: 6,
+            codec: if delta { CodecKind::Delta } else { CodecKind::Identity },
             ..GlapConfig::default()
         };
         let build = || {
@@ -191,35 +191,35 @@ proptest! {
             }
             dc
         };
-        let mut trace = move |vm: VmId, r: u64| {
+        let trace = move |vm: VmId, r: u64| {
             let x = 0.3 + 0.25 * ((r as f64 / 7.0) + f64::from(vm.0) + seed as f64).sin();
             Resources::splat(x)
         };
-        let (ref_tables, ref_report, _) = train_two_pass_reference(
-            &mut build(),
-            &mut trace,
-            &cfg,
-            seed,
-            false,
-            &Tracer::off(),
-            Some(1),
-            &Profiler::off(),
-        );
-        let want: Vec<Vec<u8>> = ref_tables.iter().map(pair_bytes).collect();
-        let (tables, report, _) = train_instrumented(
-            &mut build(),
-            &mut trace,
-            &cfg,
-            seed,
-            false,
-            &Tracer::off(),
-            Some(threads),
-            &Profiler::off(),
-        );
-        let got: Vec<Vec<u8>> = tables.iter().map(pair_bytes).collect();
+        let want = capture(|tracer| {
+            train_two_pass(&mut build(), &mut trace.clone(), &cfg, seed, true, tracer, Some(1))
+        });
+        let mut unified = None;
+        let got = capture(|tracer| {
+            let (arena, report, monitor) = train_arena(
+                &mut build(),
+                &mut trace.clone(),
+                &cfg,
+                seed,
+                true,
+                tracer,
+                Some(threads),
+                &Profiler::off(),
+            );
+            let tables = arena.export();
+            unified = Some((
+                pair_bytes(&unified_arena_table(&arena)),
+                pair_bytes(&unified_table(&tables)),
+            ));
+            (tables, report, monitor)
+        });
+        let (folded, exported) = unified.unwrap();
+        prop_assert_eq!(folded, exported);
         prop_assert_eq!(got, want, "engines diverged at {} threads", threads);
-        prop_assert_eq!(report.pms_trained, ref_report.pms_trained);
-        prop_assert_eq!(report.updates, ref_report.updates);
     }
 
     /// The incremental (dirty-set) eligibility index agrees with a full
@@ -265,9 +265,9 @@ proptest! {
             // right after a burst of dirt and when nothing changed.
             dc.refresh_eligibility(threshold);
             let flags = dc.eligible_flags();
-            for i in 0..n_pms {
+            for (i, &flag) in flags.iter().enumerate().take(n_pms) {
                 prop_assert_eq!(
-                    flags[i],
+                    flag,
                     is_eligible(&dc, PmId(i as u32), &cfg),
                     "PM {} after op {:?}",
                     i,

@@ -4,9 +4,10 @@
 
 use glap_experiments::{
     ablation_summary, fig10_energy, fig5_convergence, fig6_packing, fig7_overloaded,
-    fig8_migrations, fig9_cumulative, parse_or_exit, run_grid_with, run_scenario_traced,
-    table1_sla, Algorithm,
+    fig8_migrations, fig9_cumulative, parse_or_exit, run_grid_with, run_scenario_instrumented,
+    table1_sla, Algorithm, CheckpointOpts,
 };
+use glap_profile::Profiler;
 
 fn main() {
     let cli = parse_or_exit();
@@ -17,7 +18,14 @@ fn main() {
     if tracer.is_on() {
         if let Some(sc) = cli.grid.scenarios(&Algorithm::PAPER_SET).first() {
             eprintln!("tracing scenario {}…", sc.id());
-            run_scenario_traced(sc, &tracer);
+            run_scenario_instrumented(
+                sc,
+                &tracer,
+                &CheckpointOpts::default(),
+                &Profiler::off(),
+                false,
+            )
+            .expect("no checkpoint I/O configured");
             tracer.flush();
             cli.write_counters(&tracer).expect("write counter CSVs");
             eprintln!("traced {} events", tracer.events_emitted());

@@ -7,10 +7,10 @@ use crate::checkpoint::{checkpoint_path, decode_result, done_path, encode_result
 use crate::cli::Cli;
 use crate::pool::parallel_map;
 use crate::report::{fnum, TextTable};
-use crate::runner::{build_world, run_scenario, run_scenario_checkpointed, CheckpointOpts};
+use crate::runner::{build_world, run_scenario, run_scenario_instrumented, CheckpointOpts};
 
 use crate::scenario::{Algorithm, Grid, Scenario};
-use glap::{train_instrumented, GlapConfig, TrainPhase};
+use glap::{train_arena, GlapConfig, TrainPhase};
 use glap_metrics::{p10_median_p90, RunResult};
 use glap_profile::{Profiler, SweepProgress};
 use glap_snapshot::{read_snapshot_file, write_atomic};
@@ -135,12 +135,15 @@ pub fn run_grid_checkpointed(
             stop_at_round: None,
         };
         let resumed = opts.resume.is_some();
-        let outcome = run_scenario_checkpointed(sc, &Tracer::off(), &opts).or_else(|e| {
+        let run = |opts: &CheckpointOpts| {
+            run_scenario_instrumented(sc, &Tracer::off(), opts, &Profiler::off(), false)
+        };
+        let outcome = run(&opts).or_else(|e| {
             // A corrupt or stale checkpoint is loud but not fatal to the
             // sweep: redo the cell from scratch.
             eprintln!("  {}: checkpoint unusable ({e}), restarting cell", sc.id());
             opts.resume = None;
-            run_scenario_checkpointed(sc, &Tracer::off(), &opts)
+            run(&opts)
         });
         let (result, _) =
             outcome.unwrap_or_else(|e| panic!("{}: checkpoint write failed: {e}", sc.id()));
@@ -264,7 +267,7 @@ pub fn fig5_convergence_profiled(
         };
         // A counting tracer turns on the convergence monitor without any
         // sink I/O; its divergence series cross-checks the Figure 5 data.
-        let (_tables, report, monitor) = train_instrumented(
+        let (_arena, report, monitor) = train_arena(
             &mut dc,
             &mut trace,
             &glap,

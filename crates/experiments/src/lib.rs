@@ -47,7 +47,7 @@ pub use pool::parallel_map;
 pub use replay::{replay_digest, ReplayDigest, RoundDigest};
 pub use report::{downsample, fnum, rounds_csv, sparkline, TextTable};
 pub use runner::{
-    build_policy, build_policy_instrumented, build_policy_traced, build_world, run_scenario,
-    run_scenario_checkpointed, run_scenario_instrumented, run_scenario_traced, CheckpointOpts,
+    build_policy, build_policy_instrumented, build_world, run_scenario, run_scenario_instrumented,
+    CheckpointOpts,
 };
 pub use scenario::{Algorithm, Grid, Scenario, VmMix};

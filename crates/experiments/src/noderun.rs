@@ -4,9 +4,9 @@
 //!
 //! This is the harness behind the `node_runtime` binary and the
 //! sim-vs-channel byte-identity suite. The measured day is *identical*
-//! to [`run_scenario_traced`](crate::runner::run_scenario_traced) — only
-//! the training phase differs: instead of the centralized
-//! [`glap::train_traced`] loop, each PM runs as a [`NodeCore`] and every
+//! to [`run_scenario_instrumented`](crate::runner::run_scenario_instrumented)'s
+//! — only the training phase differs: instead of the centralized
+//! [`glap::train_arena`] engine, each PM runs as a [`NodeCore`] and every
 //! protocol exchange crosses the transport as serialized wire bytes.
 //! Because node randomness is per-node (`Stream::Node(id)`) and delivery
 //! order comes from the seeded `Stream::Delivery` schedule, the result
@@ -22,7 +22,7 @@
 //! [`NodeCore`]: glap_node::NodeCore
 //! [`Transport`]: glap_node::Transport
 
-use crate::runner::{build_policy_traced, build_world, CheckpointOpts};
+use crate::runner::{build_policy_instrumented, build_world, CheckpointOpts};
 use crate::scenario::{Algorithm, Scenario};
 use glap::prelude::{
     splitmix64, Checkpointable, GlapConfig, NetworkModel, QTablePair, SnapshotError, Tracer, Writer,
@@ -38,7 +38,7 @@ use glap_snapshot::{read_snapshot_file, write_atomic, SnapshotBuilder};
 use glap_workload::{MaterializedTrace, OffsetTrace};
 use std::path::{Path, PathBuf};
 
-/// Which [`Transport`](glap_node::Transport) hosts the node fleet.
+/// Which [`Transport`] hosts the node fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// In-process oracle: cores stepped inline on the driver thread.
@@ -67,7 +67,7 @@ const TRAIN_NET_SALT: u64 = 0x4e4f4445; // "NODE"
 
 /// The checkpoint file of a node-transport run (distinct suffix so it
 /// can never collide with the measured-day checkpoints of
-/// [`run_scenario_checkpointed`](crate::runner::run_scenario_checkpointed)).
+/// [`run_scenario_instrumented`](crate::runner::run_scenario_instrumented)).
 pub fn node_checkpoint_path(dir: &Path, sc: &Scenario) -> PathBuf {
     dir.join(format!("{}_node.ckpt", sc.id()))
 }
@@ -168,7 +168,7 @@ fn train_over<T: Transport>(
 /// GLAP variants train their tables over the chosen transport; the
 /// baselines have nothing to train and skip straight to the measured
 /// day, which for every algorithm is byte-identical to
-/// [`run_scenario_traced`](crate::runner::run_scenario_traced)'s.
+/// [`run_scenario_instrumented`](crate::runner::run_scenario_instrumented)'s.
 pub fn run_node_scenario(
     sc: &Scenario,
     transport: TransportKind,
@@ -246,10 +246,10 @@ pub fn run_node_scenario_instrumented(
             policy.current_state_only = sc.algorithm == Algorithm::GlapCurrentOnly;
             Box::new(policy) as Box<dyn glap_dcsim::ConsolidationPolicy>
         }
-        _ => build_policy_traced(sc, &dc, &trace, tracer).0,
+        _ => build_policy_instrumented(sc, &dc, &trace, tracer, profiler).0,
     };
 
-    // The measured day, exactly as `run_scenario_traced` runs it.
+    // The measured day, exactly as `run_scenario_instrumented` runs it.
     let day_span = profiler.span("measured_day");
     let mut day = OffsetTrace::new(&trace, sc.glap.learning_rounds as u64);
     let mut collector = MetricsCollector::new();

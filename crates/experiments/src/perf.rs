@@ -318,36 +318,43 @@ pub fn hotpath_records(budget_ms: u64) -> Vec<BenchRecord> {
     out
 }
 
-/// Per-round learning cost at `n` PMs, read from the profiler's
-/// `learn_round` spans of full `train_instrumented` calls.
+/// Per-round training costs at `n` PMs, read from the profiler spans of
+/// one training run: the `learn_round` p50, the `agg_round` p50, and
+/// their sum.
+struct TrainRounds {
+    learn: Measurement,
+    agg: Measurement,
+    learn_plus_agg: Measurement,
+}
+
+/// Measures [`TrainRounds`] from full `train_arena` calls.
 ///
-/// The hotpath-suite `measure_learn_phase_at` times a whole
-/// 1-learning-round `train` per sample, which at gate sizes is fine but
-/// along the scale trajectory is dominated by per-call setup: the
-/// fleet's Q-table allocation (~118 KB per PM — 11.8 GB at 100k) is
-/// first-touch page-faulted, dropped, and re-faulted every iteration,
-/// which reads as super-linear per-round growth that real runs (one
-/// allocation amortized over every round) never see. Here each train
-/// call runs several learning rounds and each round's span is one
-/// sample, so the committed trajectory measures the round, not the
-/// allocator.
-fn measure_learn_round_at(n: usize, budget_ms: u64) -> Measurement {
+/// Timing a whole short `train` per sample is dominated at scale by
+/// per-call setup: the fleet's Q-table allocation (~118 KB per PM —
+/// 11.8 GB at 100k) is first-touch page-faulted, dropped, and re-faulted
+/// every iteration, which reads as super-linear per-round growth that
+/// real runs (one allocation amortized over every round) never see.
+/// Here each call runs several rounds of each phase and a call's p50
+/// round is one sample (robust against the first round, which pays the
+/// tables' first-touch faults), so the trajectory measures the round,
+/// not the allocator.
+fn measure_train_rounds_at(n: usize, budget_ms: u64) -> TrainRounds {
     const ROUNDS_PER_CALL: usize = 3;
     let base = world(n);
     let cfg = GlapConfig {
         learning_rounds: ROUNDS_PER_CALL,
-        aggregation_rounds: 0,
+        aggregation_rounds: ROUNDS_PER_CALL,
         learning_iterations: 200,
         ..Default::default()
     };
-    let mut samples_ns: Vec<u64> = Vec::new();
+    let (mut learn, mut agg, mut sum): (Vec<u64>, Vec<u64>, Vec<u64>) = Default::default();
     let t0 = std::time::Instant::now();
-    // One call already yields `ROUNDS_PER_CALL` round samples; keep
-    // re-running while the budget lasts for steadier medians at small n.
-    while samples_ns.is_empty() || t0.elapsed().as_millis() < budget_ms as u128 {
+    // Keep re-running while the budget lasts for steadier medians at
+    // small n.
+    while learn.is_empty() || t0.elapsed().as_millis() < budget_ms as u128 {
         let profiler = Profiler::enabled();
         let mut dc = base.clone();
-        train_instrumented(
+        train_arena(
             &mut dc,
             &mut wave,
             &cfg,
@@ -358,17 +365,29 @@ fn measure_learn_round_at(n: usize, budget_ms: u64) -> Measurement {
             &profiler,
         );
         let report = profiler.snapshot();
-        let span = report
-            .span("train/learn_round")
-            .expect("train emits learn_round spans");
-        // p50 over this call's rounds: robust against the first round,
-        // which pays the tables' first-touch faults.
-        samples_ns.push(span.p50_ns);
+        let p50 = |path: &str| {
+            report
+                .span(path)
+                .unwrap_or_else(|| panic!("train emits {path} spans"))
+                .p50_ns
+        };
+        let (l, a) = (p50("train/learn_round"), p50("train/agg_round"));
+        learn.push(l);
+        agg.push(a);
+        sum.push(l + a);
     }
-    samples_ns.sort_unstable();
-    Measurement {
-        median_ns: samples_ns[samples_ns.len() / 2],
-        iterations: (samples_ns.len() * ROUNDS_PER_CALL) as u64,
+    let iterations = (learn.len() * ROUNDS_PER_CALL) as u64;
+    let median = |mut v: Vec<u64>| {
+        v.sort_unstable();
+        Measurement {
+            median_ns: v[v.len() / 2],
+            iterations,
+        }
+    };
+    TrainRounds {
+        learn: median(learn),
+        agg: median(agg),
+        learn_plus_agg: median(sum),
     }
 }
 
@@ -416,56 +435,16 @@ fn measure_policy_round_at_scale(n: usize, budget_ms: u64) -> Measurement {
     }
 }
 
-/// Per-round cost of the fused last-learn + first-aggregate sweep at
-/// `n` PMs, read from the arena engine's `fused_round` span.
-///
-/// This is the real shape of a steady-state GLAP round at scale: the
-/// learning work and the merge sweep touch each Q-table once, in one
-/// pass over the arena. One plain learning round precedes the fused one
-/// so the span measures the steady state (the plain round pays the
-/// arena slab's first-touch page faults), mirroring the
-/// [`measure_learn_round_at`] methodology.
-fn measure_fused_round_at(n: usize, budget_ms: u64) -> Measurement {
-    let base = world(n);
-    let cfg = GlapConfig {
-        learning_rounds: 2,
-        aggregation_rounds: 1,
-        learning_iterations: 200,
-        ..Default::default()
-    };
-    let mut samples_ns: Vec<u64> = Vec::new();
-    let t0 = std::time::Instant::now();
-    // One call yields exactly one fused-round sample; take at least
-    // three for a meaningful median even when one call overruns the
-    // budget (the 100k+ cells).
-    while samples_ns.len() < 3 || t0.elapsed().as_millis() < budget_ms as u128 {
-        let profiler = Profiler::enabled();
-        let mut dc = base.clone();
-        train_arena(&mut dc, &mut wave, &cfg, 42, None, &profiler);
-        let report = profiler.snapshot();
-        let span = report
-            .span("train/fused_round")
-            .expect("train_arena emits a fused_round span");
-        samples_ns.push(span.p50_ns);
-    }
-    samples_ns.sort_unstable();
-    Measurement {
-        median_ns: samples_ns[samples_ns.len() / 2],
-        iterations: samples_ns.len() as u64,
-    }
-}
-
-/// The scale-trajectory sizes committed in `BENCH_scale.json`: the
-/// 1k→250k PM sweep the flat-storage/fused-round work targets.
+/// The scale-trajectory sizes of `BENCH_scale.json`: the 1k→250k PM
+/// sweep `bench_refresh` runs.
 pub const SCALE_SIZES: &[usize] = &[1_000, 4_000, 16_000, 64_000, 100_000, 250_000];
 
 /// The scale suite — per-round costs of the phase loops along the
 /// 1k→250k PM trajectory, what `bench_refresh` writes into
-/// `BENCH_scale.json`. Per size: one learning round (`learn_round`),
-/// one aggregation merge sweep (`aggregation_round`), one *fused*
-/// learn+aggregate round (`learn_plus_agg_round`, the scalability
-/// headline `perf_gate` advises on — measured directly from the arena
-/// engine's fused sweep, not summed from the two phase rows), one
+/// `BENCH_scale.json`. Per size, from the profiler spans of one
+/// training run: one learning round (`learn_round`), one aggregation
+/// sweep (`aggregation_round`) and their sum (`learn_plus_agg_round`,
+/// the scalability headline `perf_gate` advises on); then one
 /// consolidation round (`policy_round`) and one workload step
 /// (`dc_step`). Linear growth in N is the target; the 100k/4k ratio of
 /// `learn_plus_agg_round` is the committed criterion (≤ ~30x, vs the
@@ -478,9 +457,7 @@ pub fn scale_records(budget_ms: u64) -> Vec<BenchRecord> {
 pub fn scale_records_at(sizes: &[usize], budget_ms: u64) -> Vec<BenchRecord> {
     let mut out = Vec::new();
     for &n in sizes {
-        let learn = measure_learn_round_at(n, budget_ms);
-        let agg = measure_aggregation_round_at(n, budget_ms);
-        let fused = measure_fused_round_at(n, budget_ms);
+        let train = measure_train_rounds_at(n, budget_ms);
         let pol = measure_policy_round_at_scale(n, budget_ms);
         let step = measure_dc_step_at(n, budget_ms);
         let mk = |stem: &str, scenario: &str, m: &Measurement| BenchRecord {
@@ -493,18 +470,19 @@ pub fn scale_records_at(sizes: &[usize], budget_ms: u64) -> Vec<BenchRecord> {
             "learn_round",
             "one learning round (learn_round profiler span p50, learning_iterations=200; \
              per-train setup amortized)",
-            &learn,
+            &train.learn,
         ));
         out.push(mk(
             "aggregation_round",
-            "one push-pull table merge sweep over the population",
-            &agg,
+            "one push-pull table merge sweep over the population \
+             (agg_round profiler span p50 of the same training run)",
+            &train.agg,
         ));
         out.push(mk(
             "learn_plus_agg_round",
-            "one fused learn+aggregate round over the Q-table arena \
-             (fused_round profiler span p50; scalability headline)",
-            &fused,
+            "one learning round plus one aggregation sweep \
+             (learn_round p50 + agg_round p50; scalability headline)",
+            &train.learn_plus_agg,
         ));
         out.push(mk(
             "policy_round",

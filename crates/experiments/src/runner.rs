@@ -4,14 +4,14 @@
 
 use crate::checkpoint::{checkpoint_path, encode_checkpoint, resume_scenario};
 use crate::scenario::{Algorithm, Scenario};
-use glap::{train_instrumented, unified_table, GlapPolicy, TableStore};
+use glap::{train_arena, unified_arena_table, GlapPolicy, TableStore};
 use glap_baselines::{
     bfd_baseline, EcoCloudConfig, EcoCloudPolicy, GrmpConfig, GrmpPolicy, PabfdConfig, PabfdPolicy,
 };
 use glap_cluster::{DataCenter, DataCenterConfig};
 use glap_dcsim::{
-    run_simulation_resumable, run_simulation_traced, stream_rng, CheckpointArgs,
-    ConsolidationPolicy, NetworkModel, Observer, Stream,
+    run_simulation_resumable, stream_rng, CheckpointArgs, ConsolidationPolicy, NetworkModel,
+    Observer, Stream,
 };
 use glap_metrics::{MetricsCollector, RunResult};
 use glap_profile::{Heartbeat, Profiler};
@@ -48,25 +48,18 @@ pub fn build_policy(
     dc: &DataCenter,
     trace: &MaterializedTrace,
 ) -> Box<dyn ConsolidationPolicy> {
-    build_policy_traced(sc, dc, trace, &Tracer::off()).0
+    build_policy_instrumented(sc, dc, trace, &Tracer::off(), &Profiler::off()).0
 }
 
-/// [`build_policy`] with an event tracer: GLAP's offline pre-training
-/// emits `shuffle_*` / `convergence_sampled` events through `tracer` and
-/// the returned [`ConvergenceMonitor`] holds the divergence series
-/// (non-`None` only for GLAP variants with the tracer on).
-pub fn build_policy_traced(
-    sc: &Scenario,
-    dc: &DataCenter,
-    trace: &MaterializedTrace,
-    tracer: &Tracer,
-) -> (Box<dyn ConsolidationPolicy>, Option<ConvergenceMonitor>) {
-    build_policy_instrumented(sc, dc, trace, tracer, &Profiler::off())
-}
-
-/// [`build_policy_traced`] with a wall-clock [`Profiler`] threaded into
-/// GLAP pre-training (the `train` span tree). Observational only:
-/// results are byte-identical with profiling on or off.
+/// [`build_policy`] with an event tracer and a wall-clock [`Profiler`]
+/// threaded into GLAP pre-training. The tracer receives the training
+/// rounds' `shuffle_*` / `merge_applied` / `convergence_sampled` events,
+/// and the returned [`ConvergenceMonitor`] holds the divergence series
+/// (non-`None` only for GLAP variants with the tracer on). Both are
+/// observational: the policy is byte-identical whatever their setting.
+///
+/// The shared table folds straight off the training arena; only the
+/// no-aggregation ablation, which keeps one table per PM, exports them.
 pub fn build_policy_instrumented(
     sc: &Scenario,
     dc: &DataCenter,
@@ -91,7 +84,7 @@ pub fn build_policy_instrumented(
             }
             let mut train_dc = dc.clone();
             let mut train_trace = trace.clone();
-            let (tables, _report, monitor) = train_instrumented(
+            let (arena, _report, monitor) = train_arena(
                 &mut train_dc,
                 &mut train_trace,
                 &cfg,
@@ -102,9 +95,9 @@ pub fn build_policy_instrumented(
                 profiler,
             );
             let store = if sc.algorithm == Algorithm::GlapNoAggregation {
-                TableStore::PerPm(tables)
+                TableStore::PerPm(arena.export())
             } else {
-                TableStore::Shared(Box::new(unified_table(&tables)))
+                TableStore::Shared(Box::new(unified_arena_table(&arena)))
             };
             let mut policy = GlapPolicy::new(cfg, store);
             policy.disable_in_veto = sc.algorithm == Algorithm::GlapNoVeto;
@@ -115,45 +108,22 @@ pub fn build_policy_instrumented(
     }
 }
 
-/// Runs a scenario and returns its result bundle.
+/// Runs a scenario and returns its result bundle:
+/// [`run_scenario_instrumented`] untraced, unprofiled and without
+/// checkpoints.
 pub fn run_scenario(sc: &Scenario) -> RunResult {
-    run_scenario_traced(sc, &Tracer::off()).0
+    let (result, _) = run_scenario_instrumented(
+        sc,
+        &Tracer::off(),
+        &CheckpointOpts::default(),
+        &Profiler::off(),
+        false,
+    )
+    .expect("no checkpoint I/O configured");
+    result.expect("no stop_at_round: the run completes")
 }
 
-/// [`run_scenario`] with an event tracer threaded through pre-training,
-/// the network, the data center, and the policy. With [`Tracer::off`] the
-/// results are byte-identical to [`run_scenario`]; with a live sink, the
-/// run additionally produces a full structured event trace plus counter
-/// snapshots without perturbing the simulation.
-pub fn run_scenario_traced(
-    sc: &Scenario,
-    tracer: &Tracer,
-) -> (RunResult, Option<ConvergenceMonitor>) {
-    let (mut dc, trace) = build_world(sc);
-    let (mut policy, monitor) = build_policy_traced(sc, &dc, &trace, tracer);
-
-    // Every algorithm replays the *same* measured day: the trace rounds
-    // after GLAP's training prefix.
-    let mut day = OffsetTrace::new(&trace, sc.glap.learning_rounds as u64);
-    let mut collector = MetricsCollector::new();
-    let mut net = NetworkModel::new(sc.n_pms, sc.fault.clone(), sc.policy_seed());
-    run_simulation_traced(
-        &mut dc,
-        &mut day,
-        policy.as_mut(),
-        &mut [&mut collector],
-        sc.rounds,
-        sc.policy_seed(),
-        &mut net,
-        tracer,
-    );
-
-    let mut result = RunResult::from_run(sc.algorithm.label(), collector, &dc);
-    result.bfd_bins = bfd_baseline(&dc);
-    (result, monitor)
-}
-
-/// Checkpoint/resume options for [`run_scenario_checkpointed`].
+/// Checkpoint/resume options for [`run_scenario_instrumented`].
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointOpts {
     /// Write a checkpoint every this many measured rounds (0 = never).
@@ -182,27 +152,6 @@ impl Observer for SharedCollector {
     }
 }
 
-/// [`run_scenario_traced`] with checkpoint/resume support.
-///
-/// Fresh runs (no `opts.resume`) behave exactly like
-/// [`run_scenario_traced`] — including GLAP pre-training — plus a
-/// checkpoint written atomically every `opts.every` rounds. Resumed runs
-/// skip pre-training entirely: all state, including the trained tables
-/// and every RNG cursor, comes from the snapshot, and the continuation
-/// is byte-identical to a run that was never interrupted.
-///
-/// Returns `Ok((None, _))` when `opts.stop_at_round` ended the run
-/// before the scenario's final round; the convergence monitor is only
-/// available on fresh traced GLAP runs (resumes skip the training that
-/// produces it).
-pub fn run_scenario_checkpointed(
-    sc: &Scenario,
-    tracer: &Tracer,
-    opts: &CheckpointOpts,
-) -> Result<(Option<RunResult>, Option<ConvergenceMonitor>), SnapshotError> {
-    run_scenario_instrumented(sc, tracer, opts, &Profiler::off(), false)
-}
-
 /// An observer relaying round completions to the `--progress` stderr
 /// heartbeat. Writes to stderr only and reads nothing back — the
 /// simulation cannot observe it.
@@ -214,11 +163,24 @@ impl Observer for HeartbeatObserver {
     }
 }
 
-/// [`run_scenario_checkpointed`] with a wall-clock [`Profiler`] threaded
-/// through pre-training, the engine and the network model, plus an
-/// optional live stderr heartbeat. Both are strictly observational:
-/// results are byte-identical whatever their setting (pinned by the
-/// `integration_profile` suite).
+/// Runs a scenario with an event tracer, checkpoint/resume support, a
+/// wall-clock [`Profiler`] and an optional live stderr heartbeat.
+///
+/// The tracer sees pre-training, the network, the data center and the
+/// policy; with a live sink the run additionally produces a full
+/// structured event trace plus counter snapshots. Fresh runs (no
+/// `opts.resume`) pre-train GLAP and write a checkpoint atomically every
+/// `opts.every` rounds. Resumed runs skip pre-training entirely: all
+/// state, including the trained tables and every RNG cursor, comes from
+/// the snapshot, and the continuation is byte-identical to a run that
+/// was never interrupted. Tracing, profiling and the heartbeat are
+/// strictly observational: results are byte-identical whatever their
+/// setting (pinned by the `integration_profile` suite).
+///
+/// Returns `Ok((None, _))` when `opts.stop_at_round` ended the run
+/// before the scenario's final round; the convergence monitor is only
+/// available on fresh traced GLAP runs (resumes skip the training that
+/// produces it).
 pub fn run_scenario_instrumented(
     sc: &Scenario,
     tracer: &Tracer,
@@ -314,6 +276,13 @@ mod tests {
     use super::*;
     use glap::GlapConfig;
 
+    fn checkpointed(
+        sc: &Scenario,
+        opts: &CheckpointOpts,
+    ) -> Result<(Option<RunResult>, Option<ConvergenceMonitor>), SnapshotError> {
+        run_scenario_instrumented(sc, &Tracer::off(), opts, &Profiler::off(), false)
+    }
+
     fn quick_scenario(algorithm: Algorithm) -> Scenario {
         Scenario {
             n_pms: 40,
@@ -380,8 +349,8 @@ mod tests {
     fn checkpointed_run_without_snapshots_matches_plain_run() {
         let sc = quick_scenario(Algorithm::Grmp);
         let plain = run_scenario(&sc);
-        let (ckpt, _) = run_scenario_checkpointed(&sc, &Tracer::off(), &CheckpointOpts::default())
-            .expect("no checkpoint I/O configured");
+        let (ckpt, _) =
+            checkpointed(&sc, &CheckpointOpts::default()).expect("no checkpoint I/O configured");
         let ckpt = ckpt.expect("ran to completion");
         assert_eq!(plain.collector.samples, ckpt.collector.samples);
         assert_eq!(plain.sla, ckpt.sla);
@@ -401,7 +370,7 @@ mod tests {
             ..Default::default()
         };
         std::fs::create_dir_all(dir.join("full")).unwrap();
-        let (full, _) = run_scenario_checkpointed(&sc, &Tracer::off(), &full_opts).unwrap();
+        let (full, _) = checkpointed(&sc, &full_opts).unwrap();
         let full = full.unwrap();
 
         // Interrupt at round 20, then resume to the end.
@@ -413,7 +382,7 @@ mod tests {
             stop_at_round: Some(20),
             ..Default::default()
         };
-        let (stopped, _) = run_scenario_checkpointed(&sc, &Tracer::off(), &stop_opts).unwrap();
+        let (stopped, _) = checkpointed(&sc, &stop_opts).unwrap();
         assert!(stopped.is_none(), "interrupted run yields no result");
         let ckpt = crate::checkpoint::checkpoint_path(&part_dir, &sc);
         assert!(ckpt.exists());
@@ -424,7 +393,7 @@ mod tests {
             resume: Some(ckpt),
             ..Default::default()
         };
-        let (resumed, _) = run_scenario_checkpointed(&sc, &Tracer::off(), &resume_opts).unwrap();
+        let (resumed, _) = checkpointed(&sc, &resume_opts).unwrap();
         let resumed = resumed.unwrap();
 
         assert_eq!(full.collector.samples, resumed.collector.samples);
@@ -445,7 +414,7 @@ mod tests {
             stop_at_round: Some(10),
             ..Default::default()
         };
-        run_scenario_checkpointed(&sc, &Tracer::off(), &stop_opts).unwrap();
+        checkpointed(&sc, &stop_opts).unwrap();
         let ckpt = crate::checkpoint::checkpoint_path(&dir, &sc);
 
         let mut other = quick_scenario(Algorithm::Glap);
@@ -454,7 +423,7 @@ mod tests {
             resume: Some(ckpt),
             ..Default::default()
         };
-        let err = run_scenario_checkpointed(&other, &Tracer::off(), &resume_opts).unwrap_err();
+        let err = checkpointed(&other, &resume_opts).unwrap_err();
         assert!(err.to_string().contains("repetition"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,12 +1,12 @@
-//! CI scale smoke: one 16k-PM cell of the scale trajectory under a
+//! CI scale smokes: one 16k-PM cell of the scale trajectory under a
 //! wall-clock budget, with the 1k cell measured in the same process as
-//! the linearity reference.
+//! the linearity reference, and a 250k-PM training memory budget.
 //!
 //! The full `BENCH_scale.json` refresh (through 100k PMs) takes minutes
 //! and runs on demand; this smoke fails fast on every push if per-round
 //! cost goes super-linear at a size debug CI can still afford. Ignored
 //! by default because the measured loops only make sense in release —
-//! CI runs `cargo test --release -- --ignored` for this file.
+//! CI runs each test by name with `cargo test --release -- --ignored`.
 
 use glap_experiments::scale_records_at;
 use std::time::Instant;
@@ -58,9 +58,9 @@ fn sixteen_k_cell_stays_near_linear_within_budget() {
     );
 }
 
-/// Release memory smoke: one fused learn+aggregate round over a
-/// quarter-million PMs, end to end through [`train_arena`], must fit
-/// the CI memory budget.
+/// Release memory smoke: one learning round and one aggregation round
+/// over a quarter-million PMs, end to end through [`train_arena`], must
+/// fit the CI memory budget.
 ///
 /// The fleet's Q-tables are the memory story at this size: 250k PMs x
 /// ~105 KB of dense table values is ~26 GB of *virtual* arena slab
@@ -72,7 +72,7 @@ fn sixteen_k_cell_stays_near_linear_within_budget() {
 /// and trips this long before the OOM killer would.
 #[test]
 #[ignore = "release-mode CI smoke (~15 GB RSS, minutes); run with --ignored"]
-fn quarter_million_pm_fused_round_fits_memory_budget() {
+fn quarter_million_pm_train_rounds_fit_memory_budget() {
     const N: usize = 250_000;
     /// Process peak-RSS ceiling: the touched part of the arena slabs
     /// (~15 GB measured; ~30 GB virtual) + the world and per-PM
@@ -93,26 +93,36 @@ fn quarter_million_pm_fused_round_fits_memory_budget() {
     dc.random_placement(&mut stream_rng(7, Stream::Placement));
     dc.step(&mut wave);
 
-    // Exactly one fused round: the last learning round and the first
-    // aggregation round in a single arena sweep.
+    // One learning round, then one aggregation round over the arena.
     let cfg = GlapConfig {
         learning_rounds: 1,
         aggregation_rounds: 1,
         ..Default::default()
     };
     let profiler = Profiler::enabled();
-    let (arena, report) = train_arena(&mut dc, &mut wave, &cfg, 42, None, &profiler);
+    let (arena, report, _) = train_arena(
+        &mut dc,
+        &mut wave,
+        &cfg,
+        42,
+        false,
+        &Tracer::off(),
+        None,
+        &profiler,
+    );
     assert_eq!(arena.len(), N);
     assert!(report.pms_trained > 0, "nobody trained at 250k PMs");
     let snapshot = profiler.snapshot();
-    let fused = snapshot
-        .span("train/fused_round")
-        .expect("the uncoded 1+1 schedule runs exactly one fused round");
-    assert!(fused.count >= 1);
+    for span in ["train/learn_round", "train/agg_round"] {
+        let s = snapshot
+            .span(span)
+            .unwrap_or_else(|| panic!("the 1+1 schedule runs one {span}"));
+        assert_eq!(s.count, 1, "{span}");
+    }
 
     let peak = glap_profile::peak_rss_bytes().expect("peak RSS readable on this platform");
     eprintln!(
-        "250k-PM fused round: {:.1}s total, peak RSS {:.1} GB (budget {:.0} GB)",
+        "250k-PM learn + agg rounds: {:.1}s total, peak RSS {:.1} GB (budget {:.0} GB)",
         t0.elapsed().as_secs_f64(),
         peak as f64 / 1e9,
         PEAK_RSS_BUDGET_BYTES as f64 / 1e9,
@@ -129,6 +139,6 @@ fn quarter_million_pm_fused_round_fits_memory_budget() {
     let elapsed = t0.elapsed();
     assert!(
         elapsed.as_secs() < 1800,
-        "250k-PM fused-round smoke blew its wall-clock budget: {elapsed:?}"
+        "250k-PM smoke blew its wall-clock budget: {elapsed:?}"
     );
 }

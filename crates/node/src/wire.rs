@@ -31,8 +31,8 @@ pub const TAG_AGG_PUSH: u8 = 5;
 /// See [`TAG_SHUFFLE_REQUEST`].
 pub const TAG_AGG_REPLY: u8 = 6;
 /// Codec-coded aggregation push: a [`glap_codec::CodedHeader`]-prefixed
-/// body produced by the cluster's configured [`TableCodec`]
-/// (`glap_codec::TableCodec`). Only non-identity codecs use these tags —
+/// body produced by the cluster's configured
+/// [`TableCodec`](glap_codec::TableCodec). Only non-identity codecs use these tags —
 /// the identity codec keeps the legacy [`TAG_AGG_PUSH`] path verbatim.
 pub const TAG_AGG_PUSH_CODED: u8 = 7;
 /// See [`TAG_AGG_PUSH_CODED`].

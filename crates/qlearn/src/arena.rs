@@ -12,7 +12,7 @@
 //! Three properties are pinned by tests:
 //!
 //! * **Training byte-identity** — arena slot views train through the same
-//!   [`kernel`](crate::kernel) functions (plus the exact
+//!   [`kernel`] functions (plus the exact
 //!   [`RowMaxCache`]) as the boxed tables, via the shared
 //!   [`TrainTarget`] loop, so the produced bits are equal.
 //! * **Snapshot byte-identity** — [`QArena::save_pm`] emits exactly the
@@ -129,8 +129,7 @@ impl QArena {
     pub fn pair_mut<'a>(&'a mut self, i: usize, caches: &'a mut PairCaches) -> ArenaPair<'a> {
         assert!(i < self.n, "pm {i} out of arena bounds {}", self.n);
         let base = i * PM_STRIDE;
-        let (out_values, in_values) =
-            self.values[base..base + PM_STRIDE].split_at_mut(TABLE_LEN);
+        let (out_values, in_values) = self.values[base..base + PM_STRIDE].split_at_mut(TABLE_LEN);
         let (out_visited, in_visited) =
             self.visited[base..base + PM_STRIDE].split_at_mut(TABLE_LEN);
         let (nl, nr) = self.n_visited.split_at_mut(2 * i + 1);
@@ -212,6 +211,29 @@ impl QArena {
             0.0
         } else {
             dot / (na.sqrt() * nb.sqrt())
+        }
+    }
+
+    /// PM `i`'s Q-values, `out` followed by `in` — the same vector as
+    /// concatenating the exported pair's two
+    /// [`raw_values`](QTable::raw_values), without copying.
+    pub fn pm_values(&self, i: usize) -> &[f64] {
+        &self.values[i * PM_STRIDE..(i + 1) * PM_STRIDE]
+    }
+
+    /// Folds PM `i` into `dst` with Algorithm 2's one-sided `UPDATE`,
+    /// bit-identical to `dst.merge(&self.export_pm(i))` but without the
+    /// export: only rows in PM `i`'s row masks are walked, and the merge
+    /// is a no-op on every other row.
+    pub fn merge_pm_into(&self, i: usize, dst: &mut QTablePair) {
+        let base = i * PM_STRIDE;
+        for (t, table) in [&mut dst.out, &mut dst.r#in].into_iter().enumerate() {
+            let range = base + t * TABLE_LEN..base + (t + 1) * TABLE_LEN;
+            table.merge_average_rows(
+                &self.values[range.clone()],
+                &self.visited[range],
+                self.row_any[2 * i + t],
+            );
         }
     }
 
@@ -327,10 +349,7 @@ impl ArenaPtr {
             out_visited: std::slice::from_raw_parts_mut(self.visited.add(base), TABLE_LEN),
             out_n_visited: &mut *self.n_visited.add(2 * i),
             out_row_any: &mut *self.row_any.add(2 * i),
-            in_values: std::slice::from_raw_parts_mut(
-                self.values.add(base + TABLE_LEN),
-                TABLE_LEN,
-            ),
+            in_values: std::slice::from_raw_parts_mut(self.values.add(base + TABLE_LEN), TABLE_LEN),
             in_visited: std::slice::from_raw_parts_mut(
                 self.visited.add(base + TABLE_LEN),
                 TABLE_LEN,
@@ -342,6 +361,18 @@ impl ArenaPtr {
             reward_in: *self.reward_in.add(i),
             caches,
         }
+    }
+
+    /// Total trained pairs of PM `i` — [`QArena::trained_pairs`] through
+    /// the raw handle.
+    ///
+    /// # Safety
+    ///
+    /// The arena must outlive the call, `i < n`, and no other thread may
+    /// be writing PM `i` concurrently.
+    pub unsafe fn trained_pairs(&self, i: usize) -> usize {
+        debug_assert!(i < self.n);
+        *self.n_visited.add(2 * i) + *self.n_visited.add(2 * i + 1)
     }
 
     /// Symmetric gossip merge of PMs `a` and `b` — the raw twin of (and
@@ -419,7 +450,9 @@ impl TrainTarget for ArenaPair<'_> {
             r + self.params.gamma * future,
             self.params.alpha,
         );
-        self.caches.out.note_update(s.index(), was, old, self.out_values[i]);
+        self.caches
+            .out
+            .note_update(s.index(), was, old, self.out_values[i]);
         *self.out_row_any |= 1u128 << s.index();
     }
 
@@ -442,7 +475,9 @@ impl TrainTarget for ArenaPair<'_> {
             r + self.params.gamma * future,
             self.params.alpha,
         );
-        self.caches.r#in.note_update(s.index(), was, old, self.in_values[i]);
+        self.caches
+            .r#in
+            .note_update(s.index(), was, old, self.in_values[i]);
         *self.in_row_any |= 1u128 << s.index();
     }
 }
@@ -532,13 +567,13 @@ mod tests {
                 }
             }
         }
-        for i in 0..N {
+        for (i, pair) in boxed.iter().enumerate() {
             assert_eq!(
                 arena_bytes(&arena, i),
-                save_bytes(&boxed[i]),
+                save_bytes(pair),
                 "pm {i} diverged (mmap={want_mmap})"
             );
-            assert_eq!(arena.trained_pairs(i), boxed[i].trained_pairs());
+            assert_eq!(arena.trained_pairs(i), pair.trained_pairs());
         }
     }
 
@@ -561,8 +596,16 @@ mod tests {
         let mut pair = QTablePair::new(params);
         let mut rng = SmallRng::seed_from_u64(5);
         for _ in 0..200 {
-            pair.train_out(random_state(&mut rng), random_action(&mut rng), random_state(&mut rng));
-            pair.train_in(random_state(&mut rng), random_action(&mut rng), random_state(&mut rng));
+            pair.train_out(
+                random_state(&mut rng),
+                random_action(&mut rng),
+                random_state(&mut rng),
+            );
+            pair.train_in(
+                random_state(&mut rng),
+                random_action(&mut rng),
+                random_state(&mut rng),
+            );
         }
         let bytes = save_bytes(&pair);
 
@@ -648,6 +691,38 @@ mod tests {
     }
 
     #[test]
+    fn merge_pm_into_matches_boxed_merge() {
+        let params = QParams::default();
+        let mut arena = QArena::new(3, params);
+        let mut caches = PairCaches::default();
+        let mut rng = SmallRng::seed_from_u64(8);
+        for pm in 0..3 {
+            caches.reset();
+            let mut v = arena.pair_mut(pm, &mut caches);
+            for _ in 0..40 * (pm + 1) {
+                v.train_out(
+                    random_state(&mut rng),
+                    random_action(&mut rng),
+                    random_state(&mut rng),
+                );
+                v.train_in(
+                    random_state(&mut rng),
+                    random_action(&mut rng),
+                    random_state(&mut rng),
+                );
+            }
+        }
+        let mut boxed = arena.export_pm(0);
+        let mut folded = arena.export_pm(0);
+        for pm in 1..3 {
+            boxed.merge(&arena.export_pm(pm));
+            arena.merge_pm_into(pm, &mut folded);
+        }
+        assert_eq!(save_bytes(&folded), save_bytes(&boxed));
+        assert_eq!(folded.trained_pairs(), boxed.trained_pairs());
+    }
+
+    #[test]
     fn cosine_similarity_matches_boxed() {
         let params = QParams::default();
         let mut arena = QArena::new(2, params);
@@ -657,8 +732,16 @@ mod tests {
             caches.reset();
             let mut v = arena.pair_mut(pm, &mut caches);
             for _ in 0..80 {
-                v.train_out(random_state(&mut rng), random_action(&mut rng), random_state(&mut rng));
-                v.train_in(random_state(&mut rng), random_action(&mut rng), random_state(&mut rng));
+                v.train_out(
+                    random_state(&mut rng),
+                    random_action(&mut rng),
+                    random_state(&mut rng),
+                );
+                v.train_in(
+                    random_state(&mut rng),
+                    random_action(&mut rng),
+                    random_state(&mut rng),
+                );
             }
         }
         let (p0, p1) = (arena.export_pm(0), arena.export_pm(1));

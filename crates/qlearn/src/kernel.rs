@@ -119,6 +119,32 @@ pub fn merge_symmetric_range(
     }
 }
 
+/// Canonical one-sided merge of one entry range (Algorithm 2's `UPDATE`
+/// applied to the receiving side only): average where both are
+/// visited, adopt where only the source is. Exactly the historical
+/// `QTable::merge_average` loop.
+#[inline]
+pub fn merge_average_range(
+    dst_values: &mut [f64],
+    dst_visited: &mut [bool],
+    dst_n_visited: &mut usize,
+    src_values: &[f64],
+    src_visited: &[bool],
+    range: std::ops::Range<usize>,
+) {
+    for i in range {
+        match (dst_visited[i], src_visited[i]) {
+            (true, true) => dst_values[i] = (dst_values[i] + src_values[i]) / 2.0,
+            (false, true) => {
+                dst_values[i] = src_values[i];
+                dst_visited[i] = true;
+                *dst_n_visited += 1;
+            }
+            _ => {}
+        }
+    }
+}
+
 /// Row-skipping symmetric merge over two parallel tables: only rows in
 /// `union_mask` (rows visited on either side) are walked; the rest are
 /// all-`(false, false)` and the canonical merge would not touch them.
@@ -321,7 +347,10 @@ mod tests {
         let mut cache = RowMaxCache::default();
         // Entry 5 := +0.0 (alpha 1.0 target +0.0).
         update_toward(&mut values, &mut visited, &mut nv, 5, 0.0, 1.0);
-        assert_eq!(cache.max_over_actions(&values, &visited, 0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            cache.max_over_actions(&values, &visited, 0).to_bits(),
+            0.0f64.to_bits()
+        );
         // Entry 2 := -1.0, then := -0.0 (α=1: 0·(−1) + 1·(−0.0) = −0.0 —
         // going through a negative value is what makes the written bits
         // actually negative zero). Earlier in the row than entry 5, so
@@ -364,7 +393,12 @@ mod tests {
             let (mut av1, mut avis1, mut anv1) = (av.clone(), avis.clone(), anv);
             let (mut bv1, mut bvis1, mut bnv1) = (bv.clone(), bvis.clone(), bnv);
             merge_symmetric_range(
-                &mut av1, &mut avis1, &mut anv1, &mut bv1, &mut bvis1, &mut bnv1,
+                &mut av1,
+                &mut avis1,
+                &mut anv1,
+                &mut bv1,
+                &mut bvis1,
+                &mut bnv1,
                 0..TABLE_LEN,
             );
 

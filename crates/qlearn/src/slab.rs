@@ -198,11 +198,7 @@ mod mmap_impl {
                 .map(std::path::PathBuf::from)
                 .unwrap_or_else(std::env::temp_dir);
             let seq = SLAB_COUNTER.fetch_add(1, Ordering::Relaxed);
-            let path = dir.join(format!(
-                "glap-arena-{}-{}.slab",
-                std::process::id(),
-                seq
-            ));
+            let path = dir.join(format!("glap-arena-{}-{}.slab", std::process::id(), seq));
             let file = OpenOptions::new()
                 .read(true)
                 .write(true)
@@ -214,7 +210,9 @@ mod mmap_impl {
             let _ = std::fs::remove_file(&path);
             file.set_len(byte_len as u64).ok()?;
             let ret = unsafe { sys_mmap(byte_len, fd_of(&file)) };
-            if !(0..isize::MAX).contains(&ret) || ret as usize % std::mem::align_of::<T>() != 0 {
+            if !(0..isize::MAX).contains(&ret)
+                || !(ret as usize).is_multiple_of(std::mem::align_of::<T>())
+            {
                 return None;
             }
             Some(MmapSlab {

@@ -172,16 +172,27 @@ impl QTable {
     /// Algorithm 2's merge: average pairs present in both tables, adopt
     /// pairs present only in `other`.
     pub fn merge_average(&mut self, other: &QTable) {
-        for i in 0..self.values.len() {
-            match (self.visited[i], other.visited[i]) {
-                (true, true) => self.values[i] = (self.values[i] + other.values[i]) / 2.0,
-                (false, true) => {
-                    self.values[i] = other.values[i];
-                    self.visited[i] = true;
-                    self.n_visited += 1;
-                }
-                _ => {}
-            }
+        self.merge_average_rows(&other.values, &other.visited, u128::MAX);
+    }
+
+    /// [`merge_average`](Self::merge_average) from raw `(values,
+    /// visited)` storage, walking only the rows set in `row_mask`. Exact
+    /// whenever the skipped rows hold no visited source entry: the
+    /// merge leaves such entries untouched.
+    pub(crate) fn merge_average_rows(&mut self, values: &[f64], visited: &[bool], row_mask: u128) {
+        let mut mask = row_mask & ((1u128 << NUM_STATES) - 1);
+        while mask != 0 {
+            let row = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let base = row * NUM_STATES;
+            crate::kernel::merge_average_range(
+                &mut self.values,
+                &mut self.visited,
+                &mut self.n_visited,
+                values,
+                visited,
+                base..base + NUM_STATES,
+            );
         }
     }
 

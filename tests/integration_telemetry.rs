@@ -4,12 +4,27 @@
 //! replay digest), and the convergence monitor must certify Theorem 1's
 //! non-increasing-diameter claim on a real training run.
 
-use glap::{train_traced, GlapConfig};
+use glap::{train_arena, GlapConfig};
 use glap_dcsim::{FaultProfile, LinkLatency};
 use glap_experiments::{
-    build_world, replay_digest, run_scenario, run_scenario_traced, Algorithm, Scenario,
+    build_world, replay_digest, run_scenario, run_scenario_instrumented, Algorithm, CheckpointOpts,
+    Scenario,
 };
-use glap_telemetry::{JsonlSink, Phase, SharedBuf, Tracer};
+use glap_metrics::RunResult;
+use glap_profile::Profiler;
+use glap_telemetry::{ConvergenceMonitor, JsonlSink, Phase, SharedBuf, Tracer};
+
+fn run_traced(sc: &Scenario, tracer: &Tracer) -> (RunResult, Option<ConvergenceMonitor>) {
+    let (result, monitor) = run_scenario_instrumented(
+        sc,
+        tracer,
+        &CheckpointOpts::default(),
+        &Profiler::off(),
+        false,
+    )
+    .expect("no checkpoint I/O configured");
+    (result.expect("the run completes"), monitor)
+}
 
 fn scenario(algorithm: Algorithm) -> Scenario {
     Scenario {
@@ -63,7 +78,7 @@ fn jsonl_sink_does_not_change_simulation_results() {
 
             let buf = SharedBuf::new();
             let tracer = Tracer::new(Box::new(JsonlSink::new(Box::new(buf.clone()))));
-            let (traced, _) = run_scenario_traced(&sc, &tracer);
+            let (traced, _) = run_traced(&sc, &tracer);
             tracer.flush();
 
             assert_eq!(
@@ -98,7 +113,7 @@ fn fault_injected_trace_is_schema_valid_and_complete() {
 
     let buf = SharedBuf::new();
     let tracer = Tracer::new(Box::new(JsonlSink::new(Box::new(buf.clone()))));
-    let (_result, monitor) = run_scenario_traced(&sc, &tracer);
+    let (_result, monitor) = run_traced(&sc, &tracer);
     tracer.flush();
 
     let text = buf.contents();
@@ -133,13 +148,15 @@ fn aggregation_diameter_is_monotone() {
     let sc = scenario(Algorithm::Glap);
     let (mut dc, mut trace) = build_world(&sc);
     let tracer = Tracer::counting();
-    let (_tables, _report, monitor) = train_traced(
+    let (_arena, _report, monitor) = train_arena(
         &mut dc,
         &mut trace,
         &sc.glap,
         sc.policy_seed(),
         false,
         &tracer,
+        None,
+        &Profiler::off(),
     );
 
     let agg = monitor.diameters(Phase::Aggregation);
